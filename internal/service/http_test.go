@@ -328,8 +328,9 @@ func TestHTTPInferDeadline(t *testing.T) {
 	status, resp := c.post("/v1/sessions", map[string]any{
 		"ontology": ntriples.Format(w.Ontology),
 		// Inflate per-pair work so the 50ms deadline lands mid-search even
-		// with the build-best-query-once merge kernel.
-		"options": map[string]any{"num_iter": 2000},
+		// with the build-best-query-once merge kernel (at 2000 the whole
+		// search fits in 50ms on a fast core).
+		"options": map[string]any{"num_iter": 20000},
 	})
 	if status != http.StatusCreated {
 		t.Fatalf("create: status %d (%v)", status, resp)

@@ -8,6 +8,7 @@ import (
 
 	"questpro/internal/conc"
 	"questpro/internal/core"
+	"questpro/internal/graph"
 	"questpro/internal/obs"
 	"questpro/internal/qerr"
 	"questpro/internal/query"
@@ -28,9 +29,11 @@ import (
 //     re-execute it;
 //  2. persistPendingLocked appends the WAL record (fsynced) — from here the
 //     operation survives a crash even if the snapshot write is torn;
-//  3. the full session state is encoded and atomically swapped in as the
-//     new snapshot; on success the WAL is truncated (the snapshot subsumes
-//     it).
+//  3. the session's mutable state is encoded and atomically swapped in as
+//     the new snapshot; on success the WAL is truncated (the snapshot
+//     subsumes it). The immutable ontology is not part of it: the session's
+//     first persist writes it once, to its own file, just before the first
+//     snapshot, whose directory fsync covers both renames.
 //
 // Crash windows: before the WAL append, the operation is simply lost — and
 // so is its response, so the client retries against the pre-operation
@@ -117,6 +120,11 @@ func (s *Session) persistPendingLocked(ctx context.Context) {
 			}
 			w.appended = true
 		}
+		if s.ontoFrame == nil {
+			if err := s.saveOntologyLocked(st); err != nil {
+				return err
+			}
+		}
 		data, err := encodeSessionLocked(s, s.mutSeq)
 		if err != nil {
 			return err
@@ -143,8 +151,27 @@ func (s *Session) persistPendingLocked(ctx context.Context) {
 	s.reg.recordSnapshotWrite()
 }
 
-// persistInitial writes a session's first snapshot right after Create, so
-// a freshly minted session id survives an immediate crash.
+// saveOntologyLocked writes the session's immutable ontology to the store
+// and records its frame for the snapshots that follow. It is part of the
+// session's first persist (a failed write is retried with the rest of the
+// persist) and lands before the first snapshot; the snapshot's directory
+// fsync makes it durable. Callers hold s.mu.
+func (s *Session) saveOntologyLocked(st *store.Store) error {
+	data, err := encodeOntology(s.onto)
+	if err != nil {
+		return fmt.Errorf("encoding ontology: %w", err)
+	}
+	sum, err := st.SaveOntology(s.ID, data)
+	if err != nil {
+		return err
+	}
+	s.ontoFrame = &snapFrameRef{Bytes: len(data), CRC32: sum}
+	return nil
+}
+
+// persistInitial writes a session's ontology and first snapshot right
+// after Create, so a freshly minted session id survives an immediate
+// crash.
 func (s *Session) persistInitial() {
 	if s.reg.cfg.Store == nil {
 		return
@@ -169,8 +196,16 @@ func (s *Session) flushToStore() {
 
 // restoreAll loads every stored snapshot into the registry; called by
 // NewRegistry before the janitor starts, so persisted idle clocks are
-// honored by the first eviction scan rather than racing it.
+// honored by the first eviction scan rather than racing it. It first
+// sweeps the files no snapshot claims: the ontology of a create that
+// crashed before its first snapshot (the create never returned, so no
+// client knows the session) and journals older builds left behind.
 func (r *Registry) restoreAll() {
+	if swept, err := r.cfg.Store.Sweep(); err != nil {
+		r.logger.Warn("sweeping unclaimed session files failed", "error", err)
+	} else if len(swept) > 0 {
+		r.logger.Info("unclaimed session files removed", "files", swept)
+	}
 	ids, err := r.cfg.Store.List()
 	if err != nil {
 		r.logger.Error("session store unreadable; starting empty", "error", err)
@@ -187,12 +222,12 @@ func (r *Registry) restoreAll() {
 	}
 }
 
-// restoreOne rebuilds one session from its snapshot and journal. Every
-// failure mode is contained to the one session: corrupt and undecodable
-// snapshots are quarantined (the store moves them aside), load errors are
-// skipped, and a panic out of the decode path — the chaos suite injects
-// one — is caught here, quarantines the snapshot, and lets startup
-// continue with the remaining sessions.
+// restoreOne rebuilds one session from its snapshot, ontology and
+// journal. Every failure mode is contained to the one session: corrupt and
+// undecodable files are quarantined (the store moves the session's files
+// aside), load errors are skipped, and a panic out of the decode path —
+// the chaos suite injects one — is caught here, quarantines the session,
+// and lets startup continue with the remaining sessions.
 func (r *Registry) restoreOne(id string) (restored bool) {
 	st := r.cfg.Store
 	_, sp := r.tracer.StartRoot(r.ctx, "session.snapshot.restore")
@@ -203,7 +238,7 @@ func (r *Registry) restoreOne(id string) (restored bool) {
 		if rec := recover(); rec != nil {
 			outcome = "panic"
 			r.recordPanic()
-			r.logger.Error("session restore panicked; snapshot quarantined",
+			r.logger.Error("session restore panicked; session files quarantined",
 				"session_id", id, "panic", fmt.Sprint(rec))
 			r.quarantine(id)
 			restored = false
@@ -214,19 +249,7 @@ func (r *Registry) restoreOne(id string) (restored bool) {
 	}()
 
 	data, err := st.Load(id)
-	switch {
-	case errors.Is(err, store.ErrNotFound):
-		return false
-	case errors.Is(err, store.ErrCorrupt):
-		// The store already moved the file aside.
-		r.recordSnapshotQuarantine()
-		r.logger.Error("corrupt session snapshot quarantined", "session_id", id, "error", err)
-		return false
-	case err != nil:
-		// Transient (or injected) I/O failure: leave the file for the next
-		// restart instead of condemning it.
-		r.recordSnapshotError()
-		r.logger.Error("session snapshot unreadable; skipped", "session_id", id, "error", err)
+	if !r.loadedOK(id, err) {
 		return false
 	}
 	snap, err := decodeSessionSnapshot(data)
@@ -238,7 +261,18 @@ func (r *Registry) restoreOne(id string) (restored bool) {
 		r.quarantine(id)
 		return false
 	}
-	s, err = r.rebuildSession(snap)
+	var onto *graph.Graph
+	if f := snap.OntologyFrame; f != nil {
+		if data, err = st.LoadOntology(id, f.Bytes, f.CRC32); !r.loadedOK(id, err) {
+			return false
+		}
+		onto, err = decodeOntology(data)
+	} else {
+		onto, err = snapToGraph(*snap.Ontology)
+	}
+	if err == nil {
+		s, err = r.rebuildSession(snap, onto)
+	}
 	if err != nil {
 		r.logger.Error("unrestorable session snapshot quarantined", "session_id", id, "error", err)
 		r.quarantine(id)
@@ -263,7 +297,27 @@ func (r *Registry) restoreOne(id string) (restored bool) {
 	return true
 }
 
-// quarantine moves a poisoned snapshot aside and counts it.
+// loadedOK classifies the error of loading one of a session's files and
+// reports whether restore can go on with the session.
+func (r *Registry) loadedOK(id string, err error) bool {
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, store.ErrNotFound):
+	case errors.Is(err, store.ErrCorrupt):
+		// The store already moved the session's files aside.
+		r.recordSnapshotQuarantine()
+		r.logger.Error("corrupt session files quarantined", "session_id", id, "error", err)
+	default:
+		// Transient (or injected) I/O failure: leave the files for the next
+		// restart instead of condemning them.
+		r.recordSnapshotError()
+		r.logger.Error("session files unreadable; skipped", "session_id", id, "error", err)
+	}
+	return false
+}
+
+// quarantine moves a poisoned session's files aside and counts it.
 func (r *Registry) quarantine(id string) {
 	if err := r.cfg.Store.Quarantine(id); err != nil {
 		r.logger.Error("quarantine failed", "session_id", id, "error", err)
@@ -272,16 +326,14 @@ func (r *Registry) quarantine(id string) {
 	r.recordSnapshotQuarantine()
 }
 
-// rebuildSession turns a decoded snapshot back into a live session:
-// graphs re-interned id-for-id and re-frozen, options and counters
-// restored, the persisted idle clock installed verbatim (a session that
-// out-idled its TTL across the restart is evicted by the first janitor
-// scan), and — when a dialogue was active — the feedback position resumed.
-func (r *Registry) rebuildSession(snap *sessionSnapshot) (*Session, error) {
-	onto, err := snapToGraph(snap.Ontology)
-	if err != nil {
-		return nil, fmt.Errorf("ontology: %w", err)
-	}
+// rebuildSession turns a decoded snapshot and its ontology back into a
+// live session: graphs re-interned id-for-id and re-frozen, options and
+// counters restored, the persisted idle clock installed verbatim (a
+// session that out-idled its TTL across the restart is evicted by the
+// first janitor scan), and — when a dialogue was active — the feedback
+// position resumed. A schema 1 snapshot leaves ontoFrame nil, so the
+// session's next persist writes its ontology file.
+func (r *Registry) rebuildSession(snap *sessionSnapshot, onto *graph.Graph) (*Session, error) {
 	onto.Freeze()
 	opts := snapToOptions(snap.Options)
 	if err := opts.Validate(); err != nil {
@@ -296,6 +348,8 @@ func (r *Registry) rebuildSession(snap *sessionSnapshot) (*Session, error) {
 	}()
 	s.last.Store(snap.LastUsedUnixNs)
 	s.mutSeq, s.savedSeq = snap.Seq, snap.Seq
+	s.ontoFrame = snap.OntologyFrame
+	var err error
 	if s.ex, err = snapToExamples(snap.Examples); err != nil {
 		return nil, fmt.Errorf("examples: %w", err)
 	}

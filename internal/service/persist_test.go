@@ -11,16 +11,20 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"questpro/internal/core"
+	"questpro/internal/experiments"
 	"questpro/internal/faults"
 	"questpro/internal/paperfix"
 	"questpro/internal/provenance"
 	"questpro/internal/store"
+	"questpro/internal/workload/sampling"
 )
 
 func openStore(t *testing.T, dir string) *store.Store {
@@ -30,6 +34,21 @@ func openStore(t *testing.T, dir string) *store.Store {
 		t.Fatalf("store.Open: %v", err)
 	}
 	return st
+}
+
+// assertNoFilesFor fails if any file of the session is left in the data
+// dir (quarantined files live in its subdirectory).
+func assertNoFilesFor(t *testing.T, dir, id string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), id+".") {
+			t.Fatalf("file %s of session %s left in the data dir", e.Name(), id)
+		}
+	}
 }
 
 // runDialogueAllFalse drives a started dialogue to completion answering
@@ -319,13 +338,16 @@ func TestWALReplayAfterTornSnapshot(t *testing.T) {
 }
 
 // TestCorruptSnapshotQuarantinedOnRestore: a garbage snapshot file is moved
-// to quarantine during restore, counted, and the registry comes up healthy.
+// to quarantine during restore together with the session's journal and
+// ontology, counted, and the registry comes up healthy.
 func TestCorruptSnapshotQuarantinedOnRestore(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	st.Close()
-	if err := os.WriteFile(filepath.Join(dir, "deadbeef.snap"), []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"deadbeef.snap", "deadbeef.wal", "deadbeef.onto"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not a snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r := newTestRegistry(t, Config{Store: openStore(t, dir)})
 	if got := r.Metrics().SnapshotQuarantined; got != 1 {
@@ -334,12 +356,13 @@ func TestCorruptSnapshotQuarantinedOnRestore(t *testing.T) {
 	if r.Len() != 0 {
 		t.Fatalf("Len = %d after quarantine, want 0", r.Len())
 	}
+	assertNoFilesFor(t, dir, "deadbeef")
 	ents, err := os.ReadDir(filepath.Join(dir, "quarantine"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 1 {
-		t.Fatalf("quarantine holds %d files, want 1", len(ents))
+	if len(ents) != 3 {
+		t.Fatalf("quarantine holds %d files, want 3 (snapshot, journal, ontology)", len(ents))
 	}
 	// The registry is healthy: new sessions create and persist normally.
 	s := createPaperfix(t, r)
@@ -427,5 +450,209 @@ func TestRestorePartialSession(t *testing.T) {
 	}
 	if s2.Result() == nil {
 		t.Fatal("no chosen query after resumed dialogue")
+	}
+}
+
+// TestSnapshotWriteSizePinned pins what each mutating request writes: over
+// a generated ontology of more than 150 KB, the snapshot that examples,
+// top-k, feedback start and answer each rewrite stays under 8 KiB, because
+// the ontology is written once, at create, to its own file.
+func TestSnapshotWriteSizePinned(t *testing.T) {
+	ctx := context.Background()
+	w, err := experiments.Load("sp2b", 0.35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := encodeOntology(w.Ontology); err != nil || len(data) < 150_000 {
+		t.Fatalf("ontology encodes to %d bytes (%v), want at least 150 KB", len(data), err)
+	}
+	// Two explanations of the first catalog query with enough results.
+	var exs provenance.ExampleSet
+	for _, bq := range w.Queries {
+		sm := sampling.New(w.Evaluator(), bq.Query, rand.New(rand.NewSource(3)))
+		if rs, err := sm.Results(ctx); err != nil || len(rs) < 8 {
+			continue
+		}
+		if exs, err = sm.ExampleSet(ctx, 2); err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	if exs == nil {
+		t.Fatal("no sp2b query with 8 results")
+	}
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	r := newTestRegistry(t, Config{Store: st})
+	s, err := r.Create(w.Ontology, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	saves := int64(0)
+	check := func(op string) {
+		t.Helper()
+		saves++
+		fi, err := os.Stat(filepath.Join(dir, s.ID+".snap"))
+		if err != nil {
+			t.Fatalf("after %s: %v", op, err)
+		}
+		if fi.Size() >= 8<<10 {
+			t.Fatalf("after %s the snapshot is %d bytes, want under 8 KiB", op, fi.Size())
+		}
+		if got, want := st.Writes(), (store.Writes{Ontologies: 1, Snapshots: saves}); got != want {
+			t.Fatalf("after %s the store wrote %+v, want %+v", op, got, want)
+		}
+	}
+	check("create")
+	if err := s.SetExamples(ctx, exs); err != nil {
+		t.Fatal(err)
+	}
+	check("examples")
+	if _, err := s.Infer(ctx, "topk"); err != nil {
+		t.Fatal(err)
+	}
+	check("top-k")
+	ev, err := s.StartFeedback(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Done {
+		t.Fatal("the dialogue asked no question")
+	}
+	check("feedback start")
+	if _, err := s.AnswerFeedback(ctx, true); err != nil {
+		t.Fatal(err)
+	}
+	check("answer")
+}
+
+// TestOntologyWriteRetried: the ontology write belongs to the create's
+// persist. When it fails, the create still succeeds (availability first)
+// and leaves nothing on disk; the next operation's persist — or the Close
+// flush, for a session with no further operation — writes the ontology
+// and then the snapshot, counted as one committed snapshot write.
+func TestOntologyWriteRetried(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	r1 := NewRegistry(Config{Store: st})
+	o := paperfix.Ontology()
+	create := func(id string) *Session {
+		t.Helper()
+		// Caller-minted ids skip the id mint, so the persist's ontology
+		// write is the first store operation to fire.
+		in := faults.NewInjector(1, faults.Rule{Point: faults.SessionSnapshot, FirstN: 1})
+		restore := faults.Activate(in)
+		s, err := r1.CreateWithID(id, o, core.DefaultOptions())
+		restore()
+		if err != nil {
+			t.Fatalf("create under a failing ontology write: %v", err)
+		}
+		if in.Fired(faults.SessionSnapshot) != 1 {
+			t.Fatalf("fault fired %d times, want 1", in.Fired(faults.SessionSnapshot))
+		}
+		return s
+	}
+	const busy, idle = "0000000000000000000000000000000b", "0000000000000000000000000000000c"
+	s := create(busy)
+	create(idle)
+	if m := r1.Metrics(); m.SnapshotErrors != 2 || m.SnapshotWrites != 0 {
+		t.Fatalf("after two failed creates: errors %d writes %d, want 2 and 0", m.SnapshotErrors, m.SnapshotWrites)
+	}
+	if w := st.Writes(); w != (store.Writes{}) {
+		t.Fatalf("store wrote %+v under the fault", w)
+	}
+	if err := s.SetExamples(ctx, paperfix.Explanations(o)); err != nil {
+		t.Fatal(err)
+	}
+	if m := r1.Metrics(); m.SnapshotWrites != 1 {
+		t.Fatalf("SnapshotWrites = %d after the retry, want 1", m.SnapshotWrites)
+	}
+	if w := st.Writes(); w != (store.Writes{Ontologies: 1, Snapshots: 1}) {
+		t.Fatalf("store wrote %+v after the retry, want one ontology and one snapshot", w)
+	}
+	r1.Close()
+	if w := st.Writes(); w != (store.Writes{Ontologies: 2, Snapshots: 2}) {
+		t.Fatalf("store wrote %+v after the Close flush, want two of each", w)
+	}
+
+	r2 := newTestRegistry(t, Config{Store: openStore(t, dir)})
+	for _, id := range []string{busy, idle} {
+		if _, ok := r2.Get(id); !ok {
+			t.Fatalf("session %s not restored", id)
+		}
+	}
+	if s2, _ := r2.Get(busy); s2.Stats().Examples != len(paperfix.Explanations(o)) {
+		t.Fatalf("restored examples = %d", s2.Stats().Examples)
+	}
+}
+
+// TestOntologyFrameMismatchQuarantined: restore checks the ontology file
+// against the frame the snapshot recorded. An intact ontology file that
+// belongs to another session fails the check, and the session's files are
+// quarantined; the other session is restored.
+func TestOntologyFrameMismatchQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	r1 := NewRegistry(Config{Store: openStore(t, dir)})
+	a := createPaperfix(t, r1)
+	bigger := paperfix.Ontology()
+	bigger.MustAddTriple("paper99", paperfix.Predicate, "Zoe")
+	b, err := r1.Create(bigger, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1.Close()
+	data, err := os.ReadFile(filepath.Join(dir, b.ID+".onto"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, a.ID+".onto"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := newTestRegistry(t, Config{Store: openStore(t, dir)})
+	if got := r2.Metrics().SnapshotQuarantined; got != 1 {
+		t.Fatalf("SnapshotQuarantined = %d, want 1", got)
+	}
+	if _, ok := r2.Get(a.ID); ok {
+		t.Fatal("session restored over another session's ontology")
+	}
+	assertNoFilesFor(t, dir, a.ID)
+	if _, ok := r2.Get(b.ID); !ok {
+		t.Fatal("intact session not restored")
+	}
+}
+
+// TestRestoreSweepsUnclaimedFiles: a data dir holding, next to a complete
+// session, the ontology of a create that crashed before its first snapshot
+// and a journal without a snapshot comes up with the complete session
+// restored and the unclaimed files deleted.
+func TestRestoreSweepsUnclaimedFiles(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	r1 := NewRegistry(Config{Store: st})
+	s := createPaperfix(t, r1)
+	r1.Close()
+
+	st = openStore(t, dir)
+	const crashed, orphan = "0000000000000000000000000000000d", "0000000000000000000000000000000e"
+	if _, err := st.SaveOntology(crashed, []byte(`{"nodes":[{"v":"a"}],"edges":[]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendWAL(orphan, []byte(`{"seq":1,"op":"infer","mode":"union"}`)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2 := openStore(t, dir)
+	r2 := newTestRegistry(t, Config{Store: st2})
+	if _, ok := r2.Get(s.ID); !ok || r2.Len() != 1 {
+		t.Fatalf("restored %d sessions, want only %s", r2.Len(), s.ID)
+	}
+	assertNoFilesFor(t, dir, crashed)
+	assertNoFilesFor(t, dir, orphan)
+	if ids, err := st2.List(); err != nil || len(ids) != 1 || ids[0] != s.ID {
+		t.Fatalf("List = %v, %v; want [%s]", ids, err, s.ID)
 	}
 }

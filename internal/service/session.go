@@ -79,12 +79,15 @@ type Session struct {
 	// durably snapshotted (dirty ⇔ mutSeq > savedSeq, so a failed persist
 	// is retried by the next operation or the Close flush); opDirty/opWAL
 	// stage the in-flight operation's mutation flag and journal record for
-	// the deferred persistPendingLocked. All four are inert — one nil
-	// check per operation — when the registry runs without a store.
-	mutSeq   int64
-	savedSeq int64
-	opDirty  bool
-	opWAL    *walRecord
+	// the deferred persistPendingLocked. ontoFrame records the session's
+	// <id>.onto file once it is written; nil makes the next persist write
+	// it. All five are inert — one nil check per operation — when the
+	// registry runs without a store.
+	mutSeq    int64
+	savedSeq  int64
+	opDirty   bool
+	opWAL     *walRecord
+	ontoFrame *snapFrameRef
 
 	// traces is the ring of the session's most recent finished operation
 	// traces (root span snapshots, oldest first), served at

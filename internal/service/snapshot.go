@@ -25,6 +25,12 @@ import (
 // guaranteed byte-identical for identical id assignments. Rebuilding with
 // AddNode/AddEdge in table order reproduces the exact ids.
 //
+// The session's ontology never changes, so schema 2 keeps it out of the
+// snapshot: encodeOntology's payload is written once, at create, to the
+// store's <id>.onto file, and every snapshot records that file's frame
+// (payload length and CRC32), which restore checks before rebuilding.
+// Schema 1 snapshots carry the ontology inline and still decode.
+//
 // What deliberately does NOT survive a restart: the last inference's
 // candidate beam when no dialogue is active (re-run Infer to get it back),
 // the completion cache's intermediate guard meter (the final Usage does),
@@ -32,8 +38,8 @@ import (
 // all reconstructible or purely diagnostic.
 
 // snapshotSchemaVersion is the codec's schema version, stored in every
-// snapshot and checked on decode.
-const snapshotSchemaVersion = 1
+// snapshot and checked on decode. Decode also reads schema 1.
+const snapshotSchemaVersion = 2
 
 // sessionSnapshot is the root of the durable session state.
 type sessionSnapshot struct {
@@ -42,8 +48,11 @@ type sessionSnapshot struct {
 	Seq            int64  `json:"seq"`
 	LastUsedUnixNs int64  `json:"last_used_unix_ns"`
 
-	Ontology snapGraph   `json:"ontology"`
-	Options  snapOptions `json:"options"`
+	// Exactly one of Ontology/OntologyFrame is set: the ontology inline
+	// (schema 1) or the frame of the <id>.onto file holding it (schema 2).
+	Ontology      *snapGraph    `json:"ontology,omitempty"`
+	OntologyFrame *snapFrameRef `json:"ontology_frame,omitempty"`
+	Options       snapOptions   `json:"options"`
 
 	// Exactly one of Examples/Partial is populated (matching the session's
 	// input mode); Completed and Completion cache the completion phase for
@@ -61,6 +70,13 @@ type sessionSnapshot struct {
 
 	Counters snapCounters `json:"counters"`
 	Infers   int          `json:"infers"`
+}
+
+// snapFrameRef identifies a framed store file by its payload's length and
+// CRC32.
+type snapFrameRef struct {
+	Bytes int    `json:"bytes"`
+	CRC32 uint32 `json:"crc32"`
 }
 
 // snapGraph is an id-preserving graph serialization: nodes and edges in id
@@ -185,6 +201,20 @@ func snapToGraph(sg snapGraph) (*graph.Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// encodeOntology serializes the session's ontology for its <id>.onto file.
+func encodeOntology(g *graph.Graph) ([]byte, error) {
+	return json.Marshal(graphToSnap(g))
+}
+
+// decodeOntology rebuilds a session's ontology from its <id>.onto payload.
+func decodeOntology(data []byte) (*graph.Graph, error) {
+	var sg snapGraph
+	if err := json.Unmarshal(data, &sg); err != nil {
+		return nil, fmt.Errorf("decoding ontology: %w", err)
+	}
+	return snapToGraph(sg)
 }
 
 func examplesToSnap(exs provenance.ExampleSet) []snapExample {
@@ -360,10 +390,10 @@ func snapToCounters(sc snapCounters) core.CountersSnapshot {
 	}
 }
 
-// encodeSessionLocked serializes the session's durable state at sequence
-// seq; the caller holds s.mu. The faults.SessionSnapshot point fires first
-// — the codec leg of the save path — so the chaos suite can inject both
-// encode errors and panics here.
+// encodeSessionLocked serializes the session's mutable state at sequence
+// seq; the caller holds s.mu and has written the ontology (s.ontoFrame).
+// The faults.SessionSnapshot point fires first — the codec leg of the save
+// path — so the chaos suite can inject both encode errors and panics here.
 func encodeSessionLocked(s *Session, seq int64) ([]byte, error) {
 	if err := faults.Fire(faults.SessionSnapshot); err != nil {
 		return nil, fmt.Errorf("encoding snapshot: %w", err)
@@ -373,7 +403,7 @@ func encodeSessionLocked(s *Session, seq int64) ([]byte, error) {
 		ID:             s.ID,
 		Seq:            seq,
 		LastUsedUnixNs: s.last.Load(),
-		Ontology:       graphToSnap(s.onto),
+		OntologyFrame:  s.ontoFrame,
 		Options:        optionsToSnap(s.opts),
 		Examples:       examplesToSnap(s.ex),
 		Partial:        partialToSnap(s.pex),
@@ -396,17 +426,22 @@ func encodeSessionLocked(s *Session, seq int64) ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// decodeSessionSnapshot parses and version-checks a snapshot payload.
+// decodeSessionSnapshot parses and version-checks a snapshot payload of
+// schema 1 or 2.
 func decodeSessionSnapshot(data []byte) (*sessionSnapshot, error) {
 	var snap sessionSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("decoding snapshot: %w", err)
 	}
-	if snap.Schema != snapshotSchemaVersion {
-		return nil, fmt.Errorf("snapshot schema %d, this build reads %d", snap.Schema, snapshotSchemaVersion)
-	}
-	if snap.ID == "" {
+	switch {
+	case snap.Schema < 1 || snap.Schema > snapshotSchemaVersion:
+		return nil, fmt.Errorf("snapshot schema %d, this build reads 1 to %d", snap.Schema, snapshotSchemaVersion)
+	case snap.ID == "":
 		return nil, fmt.Errorf("snapshot without session id")
+	case snap.Schema == 1 && (snap.Ontology == nil || snap.OntologyFrame != nil):
+		return nil, fmt.Errorf("schema 1 snapshot without its inline ontology")
+	case snap.Schema == 2 && (snap.Ontology != nil || snap.OntologyFrame == nil):
+		return nil, fmt.Errorf("schema 2 snapshot without its ontology frame")
 	}
 	return &snap, nil
 }

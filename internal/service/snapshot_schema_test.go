@@ -1,13 +1,22 @@
 package service
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"questpro/internal/core"
+	"questpro/internal/paperfix"
+	"questpro/internal/provenance"
+	"questpro/internal/workload/sampling"
 )
 
 var updateSnapSchema = flag.Bool("update-snapshot-schema", false,
@@ -18,6 +27,7 @@ var updateSnapSchema = flag.Bool("update-snapshot-schema", false,
 // the golden file to become part of the contract.
 var snapshotTypes = []any{
 	sessionSnapshot{},
+	snapFrameRef{},
 	snapGraph{},
 	snapNode{},
 	snapEdge{},
@@ -95,5 +105,142 @@ func TestSnapshotSchemaNoUntypedFields(t *testing.T) {
 				t.Errorf("%s.%s is a map with interface values; durable shapes must be static", t2.Name(), f.Name)
 			}
 		}
+	}
+}
+
+// v1FixtureID names the schema 1 session under testdata/v1_fixture: a
+// snapshot and a journal written by the last schema 1 build. The session
+// holds v1FixtureFragments over the paperfix ontology with default
+// options; it ran top-k inference and started feedback, and the snapshot
+// was taken with the first question delivered. The journal holds the
+// answer to it (exclude), whose snapshot write failed: the session is
+// parked mid-dialogue with one answer journaled but not yet snapshotted.
+const v1FixtureID = "f1c5e7000000000000000000000000a1"
+
+// v1FixtureFragments are the partial explanations the fixture session was
+// given: paperfix's explanations with a quarter of their edges degraded.
+func v1FixtureFragments(t *testing.T) provenance.PartialExampleSet {
+	t.Helper()
+	pex, err := sampling.DegradeSet(paperfix.Explanations(paperfix.Ontology()), 25, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pex
+}
+
+// TestSnapshotSchemaV1Fixture restores the committed schema 1 session with
+// this build: the journaled answer is replayed, and the re-served
+// question, the rest of the dialogue, the final SPARQL and the stats must
+// match byte for byte a control that ran the same operations without a
+// store. The replay re-persists the session in the current schema, with
+// its ontology in its own file, and a second restart restores that too.
+func TestSnapshotSchemaV1Fixture(t *testing.T) {
+	ctx := context.Background()
+	marshal := func(v any) string {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	finish := func(s *Session, ev FeedbackEvent) []string {
+		t.Helper()
+		events := []string{marshal(feedbackEventJSON(ev))}
+		for i := 0; !ev.Done; i++ {
+			if i > 64 {
+				t.Fatal("dialogue did not converge in 64 questions")
+			}
+			var err error
+			if ev, err = s.AnswerFeedback(ctx, false); err != nil {
+				t.Fatal(err)
+			}
+			events = append(events, marshal(feedbackEventJSON(ev)))
+		}
+		return append(events, s.Result().SPARQL(), marshal(s.Stats()))
+	}
+
+	ctrl := newTestRegistry(t, Config{})
+	cs, err := ctrl.Create(paperfix.Ontology(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.SetPartialExamples(ctx, v1FixtureFragments(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Infer(ctx, "topk"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.StartFeedback(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := cs.AnswerFeedback(ctx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := finish(cs, ev)
+
+	dir := t.TempDir()
+	for _, suffix := range []string{".snap", ".wal"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "v1_fixture", v1FixtureID+suffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, v1FixtureID+suffix), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The fixture's idle clock is as old as the fixture: keep the janitor
+	// away from it.
+	cfg := Config{SessionTTL: 100 * 365 * 24 * time.Hour}
+	cfg.Store = openStore(t, dir)
+	r := NewRegistry(cfg)
+	s, ok := r.Get(v1FixtureID)
+	if !ok {
+		r.Close()
+		t.Fatal("schema 1 fixture not restored")
+	}
+	pend, err := s.PendingFeedback(ctx)
+	if err != nil {
+		r.Close()
+		t.Fatal(err)
+	}
+	got := finish(s, pend)
+	r.Close()
+	if len(got) != len(want) {
+		t.Fatalf("restored session produced %d events, control %d:\n%s\n--- control ---\n%s",
+			len(got), len(want), strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("restored session diverged at item %d:\n%s\n--- control ---\n%s", i, got[i], want[i])
+		}
+	}
+
+	// The replayed answer re-persisted the session as the current schema.
+	st := openStore(t, dir)
+	data, err := st.Load(v1FixtureID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := decodeSessionSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Schema != snapshotSchemaVersion || snap.Ontology != nil || snap.OntologyFrame == nil {
+		t.Fatalf("re-persisted snapshot: schema %d, inline ontology %v, frame %+v",
+			snap.Schema, snap.Ontology != nil, snap.OntologyFrame)
+	}
+	if snap.ResultSPARQL != want[len(want)-2] {
+		t.Fatalf("re-persisted SPARQL:\n%s\n--- control ---\n%s", snap.ResultSPARQL, want[len(want)-2])
+	}
+	cfg.Store = st
+	r2 := newTestRegistry(t, cfg)
+	s2, ok := r2.Get(v1FixtureID)
+	if !ok {
+		t.Fatal("re-persisted session not restored")
+	}
+	if got := marshal(s2.Stats()); got != want[len(want)-1] {
+		t.Fatalf("second restore's stats:\n%s\n--- control ---\n%s", got, want[len(want)-1])
 	}
 }

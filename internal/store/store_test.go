@@ -68,11 +68,38 @@ func quarantineCount(t *testing.T, s *Store) int {
 	return len(ents)
 }
 
-func TestCorruptSnapshotQuarantined(t *testing.T) {
-	s := open(t)
-	if err := s.Save("abc", []byte("payload")); err != nil {
+// saveSession writes a full file set for id: ontology, snapshot, journal.
+func saveSession(t *testing.T, s *Store, id string) {
+	t.Helper()
+	if _, err := s.SaveOntology(id, []byte("ontology of "+id)); err != nil {
+		t.Fatalf("SaveOntology: %v", err)
+	}
+	if err := s.Save(id, []byte("payload")); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
+	if err := s.AppendWAL(id, []byte("record")); err != nil {
+		t.Fatalf("AppendWAL: %v", err)
+	}
+}
+
+// assertNoFilesFor fails if any file of the session is left in the store
+// directory.
+func assertNoFilesFor(t *testing.T, s *Store, id string) {
+	t.Helper()
+	ents, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), id+".") {
+			t.Fatalf("file %s of session %s left in the data dir", e.Name(), id)
+		}
+	}
+}
+
+func TestCorruptSnapshotQuarantined(t *testing.T) {
+	s := open(t)
+	saveSession(t, s, "abc")
 	// Flip a payload byte on disk: the CRC must catch it.
 	path := filepath.Join(s.Dir(), "abc"+snapSuffix)
 	data, _ := os.ReadFile(path)
@@ -84,11 +111,10 @@ func TestCorruptSnapshotQuarantined(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Load corrupt = %v, want ErrCorrupt", err)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt file still in place: %v", err)
-	}
-	if n := quarantineCount(t, s); n != 1 {
-		t.Fatalf("quarantine holds %d files, want 1", n)
+	// The whole session moves: snapshot, journal and ontology.
+	assertNoFilesFor(t, s, "abc")
+	if n := quarantineCount(t, s); n != 3 {
+		t.Fatalf("quarantine holds %d files, want 3", n)
 	}
 	// A second load sees a clean not-found, not a crash loop.
 	if _, err := s.Load("abc"); !errors.Is(err, ErrNotFound) {
@@ -176,21 +202,11 @@ func TestWALTornTailDropped(t *testing.T) {
 
 func TestDeleteRemovesSnapshotAndJournal(t *testing.T) {
 	s := open(t)
-	if err := s.Save("abc", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendWAL("abc", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
+	saveSession(t, s, "abc")
 	if err := s.Delete("abc"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	ents, _ := os.ReadDir(s.Dir())
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "abc") {
-			t.Fatalf("orphaned file %s after Delete", e.Name())
-		}
-	}
+	assertNoFilesFor(t, s, "abc")
 	// Deleting a never-stored id is a no-op, not an error.
 	if err := s.Delete("ghost"); err != nil {
 		t.Fatalf("Delete missing: %v", err)
@@ -204,8 +220,11 @@ func TestList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Journals and temp files must not show up as sessions.
+	// Journals, ontologies and temp files must not show up as sessions.
 	if err := s.AppendWAL("zz", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SaveOntology("yy", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := s.List()
@@ -233,5 +252,85 @@ func TestFaultInjectionFires(t *testing.T) {
 	}
 	if got := in.Fired(faults.SessionSnapshot); got != 3 {
 		t.Fatalf("Fired = %d, want 3", got)
+	}
+}
+
+func TestOntologySaveLoad(t *testing.T) {
+	s := open(t)
+	payload := []byte(`{"nodes":[{"v":"a"}],"edges":[]}`)
+	sum, err := s.SaveOntology("abc", payload)
+	if err != nil {
+		t.Fatalf("SaveOntology: %v", err)
+	}
+	if err := s.Save("abc", []byte("snapshot")); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if w := s.Writes(); w != (Writes{Ontologies: 1, Snapshots: 1}) {
+		t.Fatalf("Writes = %+v, want one of each", w)
+	}
+	got, err := s.LoadOntology("abc", len(payload), sum)
+	if err != nil {
+		t.Fatalf("LoadOntology: %v", err)
+	}
+	if string(got) != string(payload) {
+		t.Fatalf("LoadOntology = %q, want %q", got, payload)
+	}
+
+	// A frame that is intact but not the one the snapshot recorded is as
+	// fatal as a corrupt one: the whole session is quarantined.
+	if _, err := s.LoadOntology("abc", len(payload), sum+1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("LoadOntology with a foreign CRC = %v, want ErrCorrupt", err)
+	}
+	assertNoFilesFor(t, s, "abc")
+	if n := quarantineCount(t, s); n != 2 {
+		t.Fatalf("quarantine holds %d files, want 2 (snapshot and ontology)", n)
+	}
+
+	// A snapshot whose ontology is gone cannot be restored either.
+	if err := s.Save("def", []byte("snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadOntology("def", len(payload), sum); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("LoadOntology of a missing file = %v, want ErrCorrupt", err)
+	}
+	assertNoFilesFor(t, s, "def")
+}
+
+// TestSweepRemovesUnclaimedFiles builds a data dir by hand: one complete
+// session, the ontology of a create that crashed before its first
+// snapshot, a journal an older build left behind on quarantine, and the
+// temp files of two cut-short writes. Sweep removes everything no snapshot
+// claims and leaves the complete session alone.
+func TestSweepRemovesUnclaimedFiles(t *testing.T) {
+	s := open(t)
+	saveSession(t, s, "aa")
+	for _, name := range []string{"bb.onto", "cc.wal", "aa.snap.tmp", "dd.onto.tmp"} {
+		if err := os.WriteFile(filepath.Join(s.Dir(), name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swept, err := s.Sweep()
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	if want := []string{"aa.snap.tmp", "bb.onto", "cc.wal", "dd.onto.tmp"}; strings.Join(swept, " ") != strings.Join(want, " ") {
+		t.Fatalf("Sweep removed %v, want %v", swept, want)
+	}
+	ents, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range ents {
+		left = append(left, e.Name())
+	}
+	if want := "aa.onto aa.snap aa.wal quarantine"; strings.Join(left, " ") != want {
+		t.Fatalf("data dir after Sweep = %v, want %s", left, want)
+	}
+	if ids, err := s.List(); err != nil || len(ids) != 1 || ids[0] != "aa" {
+		t.Fatalf("List = %v, %v; want [aa]", ids, err)
+	}
+	if swept, err := s.Sweep(); err != nil || swept != nil {
+		t.Fatalf("second Sweep = %v, %v; want nothing to do", swept, err)
 	}
 }
