@@ -478,6 +478,61 @@ func TestUnionSPARQLOutVarCollision(t *testing.T) {
 	}
 }
 
+// TestSPARQLRoundTripFixedPoint pins that rendering is a fixed point of
+// parse-then-render: a parsed union projects ?out in every branch, and
+// that must not push the next rendering onto ?out1.
+func TestSPARQLRoundTripFixedPoint(t *testing.T) {
+	// branch builds a one-edge query x -wb-> y projecting the node named
+	// by proj (a term "?name" is a variable, anything else a constant).
+	branch := func(x, y, proj string) *Simple {
+		term := func(s string) Term {
+			if strings.HasPrefix(s, "?") {
+				return Var(s)
+			}
+			return Const(s)
+		}
+		q := NewSimple()
+		from := q.MustEnsureNode(term(x), "")
+		to := q.MustEnsureNode(term(y), "")
+		q.MustAddEdge(from, to, "wb")
+		if err := q.SetProjected(map[string]NodeID{x: from, y: to}[proj]); err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	cases := []struct {
+		name string
+		u    *Union
+		out  string // the SELECT line every rendering must carry
+	}{
+		{"two branches", NewUnion(chainQuery(t), branch("?p", "?a", "?a")), "SELECT ?out WHERE"},
+		{"branch projects ?out", NewUnion(branch("?p", "?out", "?out"), chainQuery(t)), "SELECT ?out WHERE"},
+		{"every branch projects ?out", NewUnion(branch("?p", "?out", "?out"), branch("?out", "Erdos", "?out")), "SELECT ?out WHERE"},
+		{"other ?out in a branch", NewUnion(branch("?out", "?a", "?a"), chainQuery(t)), "SELECT ?out1 WHERE"},
+		{"?out and ?out1 taken", NewUnion(branch("?out", "?out1", "?out1"), branch("?out1", "?a", "?a")), "SELECT ?out2 WHERE"},
+		{"ground projected branch", NewUnion(branch("?p", "Alice", "Alice"), chainQuery(t)), "SELECT ?out WHERE"},
+		{"single ground branch", NewUnion(branch("?out", "Alice", "Alice")), "SELECT ?out1 WHERE"},
+		{"single variable branch", NewUnion(branch("?p", "?out", "?out")), "SELECT ?out WHERE"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			text := tc.u.SPARQL()
+			if !strings.HasPrefix(text, tc.out) {
+				t.Fatalf("rendered\n%s\nwant prefix %q", text, tc.out)
+			}
+			for i := 0; i < 2; i++ {
+				back, err := ParseSPARQL(text)
+				if err != nil {
+					t.Fatalf("parsing\n%s\n%v", text, err)
+				}
+				if again := back.SPARQL(); again != text {
+					t.Fatalf("round trip %d changed the text:\n%s\n--- before ---\n%s", i+1, again, text)
+				}
+			}
+		})
+	}
+}
+
 func TestSimpleSPARQLGroundOutCollision(t *testing.T) {
 	// A ground-projected query with a variable named "out" elsewhere.
 	q := NewSimple()

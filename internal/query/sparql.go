@@ -109,7 +109,9 @@ func (q *Simple) String() string {
 }
 
 // SPARQL renders the union query. Every branch's projected node is renamed
-// onto a common output variable so the union is well-formed SPARQL.
+// onto a common output variable so the union is well-formed SPARQL. A
+// branch's own projected variable does not take a name, so a parsed union
+// (whose branches all project ?out) renders with ?out again.
 func (u *Union) SPARQL() string {
 	if len(u.branches) == 1 {
 		return u.branches[0].SPARQL()
@@ -121,7 +123,7 @@ func (u *Union) SPARQL() string {
 		}
 		taken := false
 		for _, b := range u.branches {
-			if _, ok := b.byTerm[Var(outVar)]; ok {
+			if id, ok := b.byTerm[Var(outVar)]; ok && id != b.projected {
 				taken = true
 				break
 			}

@@ -98,7 +98,9 @@ func handleCreate(reg *Registry, w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	onto, err := ntriples.ParseString(req.Ontology)
+	// Sessions created from byte-identical text share one parsed, frozen
+	// ontology; the session takes over the reference (see ontostore.go).
+	onto, shared, err := reg.ontologies.acquireText(req.Ontology)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
 		return
@@ -133,7 +135,7 @@ func handleCreate(reg *Registry, w http.ResponseWriter, r *http.Request) {
 		MaxResults: req.Options.MaxResults,
 		MaxBytes:   req.Options.MaxBytes,
 	}
-	s, err := reg.CreateWithID(req.SessionID, onto, opts)
+	s, err := reg.create(req.SessionID, onto, shared, opts)
 	if err != nil {
 		switch {
 		case errors.Is(err, qerr.ErrInternal):
@@ -467,6 +469,9 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		{"questprod_snapshot_restores_total", "counter", "Sessions restored from the store at startup.", int64(m.SnapshotRestores)},
 		{"questprod_snapshot_quarantined_total", "counter", "Corrupt or torn snapshot/journal files moved to quarantine.", int64(m.SnapshotQuarantined)},
 		{"questprod_snapshot_errors_total", "counter", "Failed snapshot persistence operations (session left dirty).", int64(m.SnapshotErrors)},
+		{"questprod_ontologies", "gauge", "Ontologies held by the shared store, referenced by a session or retained.", int64(m.Ontologies)},
+		{"questprod_ontology_parses_total", "counter", "Ontologies parsed (or decoded at restore) because the shared store held no copy.", int64(m.OntologyParses)},
+		{"questprod_ontology_reuses_total", "counter", "Session creates and restores that reused an ontology from the shared store.", int64(m.OntologyReuses)},
 	}
 	for _, s := range series {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", s.name, s.help, s.name, s.typ, s.name, s.val)

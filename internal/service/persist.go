@@ -227,14 +227,21 @@ func (r *Registry) restoreAll() {
 // undecodable files are quarantined (the store moves the session's files
 // aside), load errors are skipped, and a panic out of the decode path —
 // the chaos suite injects one — is caught here, quarantines the session,
-// and lets startup continue with the remaining sessions.
+// and lets startup continue with the remaining sessions. A schema 2
+// ontology file is shared through the registry's ontology store, so the
+// sessions over one ontology decode it once and hold one graph; a schema 1
+// snapshot's inline ontology stays private to its session.
 func (r *Registry) restoreOne(id string) (restored bool) {
 	st := r.cfg.Store
 	_, sp := r.tracer.StartRoot(r.ctx, "session.snapshot.restore")
 	sp.SetLabel("session_id", id)
 	outcome := "error"
 	var s *Session
+	// shared is the ontology reference restore holds until it hands it to
+	// the registered session; any failure before that releases it.
+	var shared *ontoEntry
 	defer func() {
+		r.ontologies.release(shared)
 		if rec := recover(); rec != nil {
 			outcome = "panic"
 			r.recordPanic()
@@ -266,7 +273,7 @@ func (r *Registry) restoreOne(id string) (restored bool) {
 		if data, err = st.LoadOntology(id, f.Bytes, f.CRC32); !r.loadedOK(id, err) {
 			return false
 		}
-		onto, err = decodeOntology(data)
+		onto, shared, err = r.ontologies.acquireFrame(data)
 	} else {
 		onto, err = snapToGraph(*snap.Ontology)
 	}
@@ -286,6 +293,7 @@ func (r *Registry) restoreOne(id string) (restored bool) {
 		r.logger.Warn("session limit reached during restore; snapshot kept on disk", "session_id", id)
 		return false
 	}
+	s.shared, shared = shared, nil
 	r.sessions[id] = s
 	r.snapRestoresTotal++
 	r.mu.Unlock()

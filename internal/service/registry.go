@@ -1,5 +1,6 @@
 // Package service hosts concurrent inference sessions behind a small
-// HTTP/JSON API (served by cmd/questprod). A session owns one ontology,
+// HTTP/JSON API (served by cmd/questprod). A session holds one ontology
+// (shared, read-only, with the other sessions created from the same text),
 // one example-set and the state of at most one feedback dialogue; the
 // registry owns the sessions, evicts the idle ones after a TTL, and
 // bounds the total number of inference workers across all sessions with
@@ -141,6 +142,10 @@ type Registry struct {
 
 	janitorDone chan struct{}
 
+	// ontologies shares parsed ontologies among the sessions created or
+	// restored from the same bytes; see ontostore.go.
+	ontologies *ontologyStore
+
 	mu       sync.Mutex
 	sessions map[string]*Session
 	closed   bool
@@ -196,6 +201,7 @@ func NewRegistry(cfg Config) *Registry {
 		ctx:         ctx,
 		cancel:      cancel,
 		janitorDone: make(chan struct{}),
+		ontologies:  newOntologyStore(cfg.MaxSessions, cfg.SessionTTL),
 		sessions:    make(map[string]*Session),
 	}
 	// Restore persisted sessions before the janitor starts, so the first
@@ -223,7 +229,8 @@ func (r *Registry) janitor() {
 	}
 }
 
-// evictExpired removes every session idle since before now-TTL. A session
+// evictExpired removes every session idle since before now-TTL, then every
+// shared ontology no session has held since before now-TTL. A session
 // with an operation in flight is never expired, even when the operation —
 // a long inference, or a request queued on the exhausted worker budget —
 // outlives the TTL: idleness is measured from completed work (operations
@@ -249,6 +256,7 @@ func (r *Registry) evictExpired(now time.Time) int {
 		r.deleteSnapshot(s.ID)
 		r.logger.Info("session evicted", "session_id", s.ID, "reason", "ttl")
 	}
+	r.ontologies.evictIdle(now)
 	return len(expired)
 }
 
@@ -318,6 +326,18 @@ func ValidSessionID(id string) bool {
 // Retry-After — capacity exhaustion is a retryable service condition, not
 // a client mistake.
 func (r *Registry) CreateWithID(id string, onto *graph.Graph, opts core.Options) (*Session, error) {
+	return r.create(id, onto, nil, opts)
+}
+
+// create registers a session over onto. shared, when non-nil, is the
+// caller's reference to onto in the ontology store: the session takes it
+// over, and a failed create releases it.
+func (r *Registry) create(id string, onto *graph.Graph, shared *ontoEntry, opts core.Options) (_ *Session, err error) {
+	defer func() {
+		if err != nil {
+			r.ontologies.release(shared)
+		}
+	}()
 	if onto == nil || onto.NumNodes() == 0 {
 		return nil, fmt.Errorf("service: empty ontology")
 	}
@@ -325,7 +345,6 @@ func (r *Registry) CreateWithID(id string, onto *graph.Graph, opts core.Options)
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	if id == "" {
-		var err error
 		if id, err = newID(); err != nil {
 			return nil, err
 		}
@@ -346,6 +365,7 @@ func (r *Registry) CreateWithID(id string, onto *graph.Graph, opts core.Options)
 		return nil, fmt.Errorf("service: session limit %d reached: %w", r.cfg.MaxSessions, qerr.ErrOverloaded)
 	}
 	s := newSession(r, id, onto, opts)
+	s.shared = shared
 	r.sessions[s.ID] = s
 	r.createdTotal++
 	active := len(r.sessions)
@@ -508,12 +528,24 @@ type Metrics struct {
 	SnapshotRestores    int
 	SnapshotQuarantined int
 	SnapshotErrors      int
+
+	// Shared ontology store (see the questprod_ontolog* series): entries
+	// held, referenced or retained, and the acquisitions that parsed (or,
+	// at restore, decoded) an ontology or reused a stored one.
+	Ontologies     int
+	OntologyParses int
+	OntologyReuses int
 }
 
-// Metrics returns the current aggregate counters.
+// Metrics returns the current aggregate counters. The ontology store's
+// lock nests inside r.mu (the store never takes r.mu), so every figure is
+// from one point in time.
 func (r *Registry) Metrics() Metrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	o := r.ontologies
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	return Metrics{
 		SessionsActive:  len(r.sessions),
 		SessionsCreated: r.createdTotal,
@@ -530,5 +562,9 @@ func (r *Registry) Metrics() Metrics {
 		SnapshotRestores:    r.snapRestoresTotal,
 		SnapshotQuarantined: r.snapQuarantinedTotal,
 		SnapshotErrors:      r.snapErrorsTotal,
+
+		Ontologies:     len(o.entries),
+		OntologyParses: o.parses,
+		OntologyReuses: o.reuses,
 	}
 }

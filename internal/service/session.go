@@ -55,6 +55,7 @@ type Session struct {
 	mu     sync.Mutex
 	ev     *eval.Evaluator
 	onto   *graph.Graph
+	shared *ontoEntry // onto's entry in the registry's ontology store; nil when private
 	opts   core.Options
 	ex     provenance.ExampleSet
 	result *query.Union     // last inferred (or feedback-chosen) query
@@ -226,14 +227,17 @@ func (s *Session) Traces() []*obs.Node {
 	return append([]*obs.Node(nil), s.traces...)
 }
 
-// close cancels the session's context and waits for its feedback goroutine
-// (if any) to exit.
+// close cancels the session's context, releases its shared ontology and
+// waits for its feedback goroutine (if any) to exit.
 func (s *Session) close() {
 	s.cancel()
 	s.mu.Lock()
 	fb := s.fb
 	s.fb = nil
+	shared := s.shared
+	s.shared = nil
 	s.mu.Unlock()
+	s.reg.ontologies.release(shared)
 	if fb != nil {
 		<-fb.exited
 	}

@@ -243,4 +243,9 @@ func TestSnapshotSchemaV1Fixture(t *testing.T) {
 	if got := marshal(s2.Stats()); got != want[len(want)-1] {
 		t.Fatalf("second restore's stats:\n%s\n--- control ---\n%s", got, want[len(want)-1])
 	}
+	// The result is restored by parsing its SPARQL; rendering it again must
+	// give the same bytes.
+	if got := s2.Result().SPARQL(); got != want[len(want)-2] {
+		t.Fatalf("second restore's SPARQL:\n%s\n--- control ---\n%s", got, want[len(want)-2])
+	}
 }
